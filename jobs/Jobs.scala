@@ -5,7 +5,7 @@ import repro.bench.{BenchContext, Tables}
 /** spark-submit entrypoints, one per reproduced table/figure. Each forces
   * the shared [[BenchContext]] SparkSession, runs the corresponding harness
   * and prints the table; scale is controlled by REPRO_BENCH_N /
-  * REPRO_BENCH_Q (defaults: n = 8192, 200 queries).
+  * REPRO_BENCH_Q (defaults: n = 4096, 200 queries).
   *
   * Example:
   * {{{

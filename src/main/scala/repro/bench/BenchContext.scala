@@ -10,7 +10,7 @@ import scala.collection.mutable
   * and workloads) don't rebuild anything.
   *
   * Scale knobs come from the environment so the same harness serves smoke
-  * tests (`REPRO_BENCH_N=1024`) and the full bench run (default n = 8192,
+  * tests (`REPRO_BENCH_N=1024`) and the full bench run (default n = 4096,
   * 200 queries, k = 10 — the paper's k).
   */
 object BenchContext {
@@ -35,7 +35,7 @@ object BenchContext {
 
   private val suiteCache = mutable.HashMap.empty[String, MethodSuite]
   def suite(ds: RfDataset): MethodSuite =
-    suiteCache.getOrElseUpdate(ds.name, MethodSuite.build(spark, ds))
+    suiteCache.getOrElseUpdate(ds.name, MethodSuite.build(ds))
 
   /** The four single-attribute workloads of Figure 2. */
   val workloadSpecs: Seq[(String, Int => Array[Workload.RangeQuery])] = Seq(

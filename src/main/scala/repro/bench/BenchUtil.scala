@@ -21,13 +21,26 @@ object BenchUtil {
     * a microVM with visible CPU steal (multi-second random stalls), so
     * wall-clock distorts single-threaded measurements by up to 40x between
     * runs; thread CPU time is immune. Use for all single-threaded builds
-    * and query loops (the paper measures single-threaded too); wall-clock
-    * remains for the multi-threaded Spark build.
+    * and query loops (the paper measures single-threaded too).
     */
   def cpuSeconds[A](body: => A): (A, Double) = {
     val t0 = threadMx.getCurrentThreadCpuTime
     val a = body
     (a, (threadMx.getCurrentThreadCpuTime - t0) / 1e9)
+  }
+
+  /** Measure a multi-threaded `body`: CPU seconds summed over every JVM
+    * thread (comparable with [[cpuSeconds]] of a single-threaded build),
+    * and wall-clock seconds. Threads that end before `body` returns are
+    * not counted; the common fork-join pool's workers outlive it.
+    */
+  def allThreadsCpuAndWallSeconds[A](body: => A): (A, Double, Double) = {
+    def cpuByThread(): Map[Long, Long] =
+      threadMx.getAllThreadIds.map(id => id -> threadMx.getThreadCpuTime(id)).filter(_._2 >= 0).toMap
+    val before = cpuByThread()
+    val (a, wall) = seconds(body)
+    val cpuNanos = cpuByThread().map { case (id, t) => t - before.getOrElse(id, 0L) }.sum
+    (a, cpuNanos / 1e9, wall)
   }
 
   /** Run one method over a workload at one beam size; returns the curve

@@ -60,7 +60,7 @@ object Tables {
         Table3Row(mn, suites.map(s => s.method(mn).buildSeconds))
       } ++ Seq(
         Table3Row("HNSW-on-all (reference)", suites.map(_.hnswAllBuildSeconds)),
-        Table3Row("iRangeGraph (Spark 16-way)", suites.map(_.sparkIrgBuildSeconds)),
+        Table3Row("iRangeGraph (parallel, wall)", suites.map(_.irgParallelWallSeconds)),
       )
     val text = formatTable("Table 3 — Indexing time (s)",
       "method" +: dss.map(_.name),

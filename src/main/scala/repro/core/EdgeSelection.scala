@@ -24,8 +24,12 @@ package repro.core
   */
 object EdgeSelection {
 
-  /** Skipping variant (the real Algorithm 1). Returns the edge count. */
-  def select(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int]): Int = {
+  /** Returns the edge count. `skip` = true is the real Algorithm 1;
+    * `skip` = false is the ablation that scans every layer — O(m log n) —
+    * and selects the same way (iRangeGraph⁻).
+    */
+  def select(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int],
+             skip: Boolean = true): Int = {
     val m = g.m
     var l = 0
     var r = g.n - 1
@@ -35,36 +39,13 @@ object EdgeSelection {
     while (!done && count < m && l < r) {
       val cm = SegmentTree.mid(l, r)
       val (lc, rc) = if (u <= cm) (l, cm) else (cm + 1, r)
-      if (SegmentTree.intersectLen(lc, rc, L, R) == SegmentTree.intersectLen(l, r, L, R)) {
+      if (skip && SegmentTree.intersectLen(lc, rc, L, R) == SegmentTree.intersectLen(l, r, L, R)) {
         // Same intersection: child's edges are equally robust — skip layer.
         l = lc; r = rc; lay += 1
       } else {
         count = appendInRange(g, lay, u, L, R, out, count)
         if (L <= l && r <= R) done = true
         else { l = lc; r = rc; lay += 1 }
-      }
-    }
-    if (count < out.length) out(count) = -1
-    count
-  }
-
-  /** Ablation variant: scan every layer (no skipping) — O(m log n). Selects
-    * the same way but pays the full per-layer scan; used by iRangeGraph⁻.
-    */
-  def selectNoSkip(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int]): Int = {
-    val m = g.m
-    var l = 0
-    var r = g.n - 1
-    var lay = 0
-    var count = 0
-    var done = false
-    while (!done && count < m && l < r) {
-      count = appendInRange(g, lay, u, L, R, out, count)
-      if (L <= l && r <= R) done = true
-      else {
-        val cm = SegmentTree.mid(l, r)
-        if (u <= cm) r = cm else l = cm + 1
-        lay += 1
       }
     }
     if (count < out.length) out(count) = -1

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.stream.IntStream
 import repro.graph.{BeamSearch, BruteForce, Candidate, RngPrune, VecStore}
 import scala.collection.mutable
 
@@ -25,78 +26,72 @@ object ElementalGraphBuilder {
   /** Below this size a segment's candidates are simply all its members. */
   def bruteThreshold(m: Int): Int = math.max(2 * m, 32)
 
-  /** Fully build the subtree rooted at segment [l, r] sitting at layer
-    * `lay`, writing into the shared flat `layers` arrays. Children first.
-    */
-  def buildInto(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int,
-                l: Int, r: Int, lay: Int): Unit = {
-    if (l >= r) return
-    val mid = SegmentTree.mid(l, r)
-    buildInto(vs, layers, m, ef, l, mid, lay + 1)
-    buildInto(vs, layers, m, ef, mid + 1, r, lay + 1)
-    buildSegmentLayer(vs, layers, m, ef, l, r, lay)
-  }
-
-  /** Build just segment [l, r]'s graph at layer `lay`, assuming its
-    * children's graphs at layer `lay + 1` are present in `layers`.
+  /** Build segment [l, r]'s graph at layer `lay`, one node at a time,
+    * assuming its children's graphs at layer `lay + 1` are present in
+    * `layers`. The sequential reference for [[build]].
     */
   def buildSegmentLayer(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int,
                         l: Int, r: Int, lay: Int): Unit = {
+    var u = l
+    while (u <= r) {
+      buildNode(vs, layers, m, ef, l, r, lay, u)
+      u += 1
+    }
+  }
+
+  /** Build node u's neighbor list in segment [l, r] at layer `lay`. Reads
+    * only layer `lay + 1` and writes only u's slice `[u*m, (u+1)*m)` of
+    * layer `lay`.
+    */
+  def buildNode(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int,
+                l: Int, r: Int, lay: Int, u: Int): Unit = {
     val size = r - l + 1
     if (size <= 1) return
     val target = layers(lay)
     if (size <= bruteThreshold(m)) {
-      var u = l
-      while (u <= r) {
-        val cands = new Array[Candidate](size - 1)
-        var i = 0
-        var v = l
-        while (v <= r) {
-          if (v != u) { cands(i) = Candidate(v, vs.dist2(u, v)); i += 1 }
-          v += 1
-        }
-        writeNeighbors(target, m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
-        u += 1
+      val cands = new Array[Candidate](size - 1)
+      var i = 0
+      var v = l
+      while (v <= r) {
+        if (v != u) { cands(i) = Candidate(v, vs.dist2(u, v)); i += 1 }
+        v += 1
       }
+      writeNeighbors(target, m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
     } else {
       val mid = SegmentTree.mid(l, r)
       val childAdj = layers(lay + 1)
-      var u = l
-      while (u <= r) {
-        val (siblingLo, siblingHi) =
-          if (u <= mid) (mid + 1, r) else (l, mid)
-        val cands = mutable.ArrayBuffer.empty[Candidate]
-        val seen = mutable.HashSet.empty[Int]
-        // 1. Copy u's neighbors from its containing child's graph.
-        val base = u * m
-        var j = 0
-        while (j < m && childAdj(base + j) >= 0) {
-          val v = childAdj(base + j)
-          if (seen.add(v)) cands += Candidate(v, vs.dist2(u, v))
-          j += 1
-        }
-        // 2. Search the sibling child's graph for approximate NNs of u.
-        val q = vs.vector(u)
-        val found =
-          if (siblingHi - siblingLo + 1 <= ef)
-            BruteForce.topK(vs, q, siblingLo, siblingHi, ef)
-          else
-            BeamSearch.search(
-              q, (i: Int) => vs.dist2(i, q),
-              entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
-              beam = ef, k = ef,
-              neighbors = (x: Int) => {
-                val out = new Array[Int](m)
-                val b = x * m
-                var t = 0
-                while (t < m) { out(t) = childAdj(b + t); t += 1 }
-                out
-              },
-            )
-        found.foreach { c => if (seen.add(c.id)) cands += c }
-        writeNeighbors(target, m, u, RngPrune.prune(cands.toArray, (a, b) => vs.dist2(a, b), m))
-        u += 1
+      val (siblingLo, siblingHi) =
+        if (u <= mid) (mid + 1, r) else (l, mid)
+      val cands = mutable.ArrayBuffer.empty[Candidate]
+      val seen = mutable.HashSet.empty[Int]
+      // 1. Copy u's neighbors from its containing child's graph.
+      val base = u * m
+      var j = 0
+      while (j < m && childAdj(base + j) >= 0) {
+        val v = childAdj(base + j)
+        if (seen.add(v)) cands += Candidate(v, vs.dist2(u, v))
+        j += 1
       }
+      // 2. Search the sibling child's graph for approximate NNs of u.
+      val q = vs.vector(u)
+      val found =
+        if (siblingHi - siblingLo + 1 <= ef)
+          BruteForce.topK(vs, q, siblingLo, siblingHi, ef)
+        else
+          BeamSearch.search(
+            q, (i: Int) => vs.dist2(i, q),
+            entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
+            beam = ef, k = ef,
+            neighbors = (x: Int) => {
+              val out = new Array[Int](m)
+              val b = x * m
+              var t = 0
+              while (t < m) { out(t) = childAdj(b + t); t += 1 }
+              out
+            },
+          )
+      found.foreach { c => if (seen.add(c.id)) cands += c }
+      writeNeighbors(target, m, u, RngPrune.prune(cands.toArray, (a, b) => vs.dist2(a, b), m))
     }
   }
 
@@ -109,12 +104,21 @@ object ElementalGraphBuilder {
     }
   }
 
-  /** Driver-local build of the full index over `vs` (ranks = ids). */
+  /** Build the full index over `vs` (ranks = ids), one layer at a time
+    * from the deepest non-leaf layer up to the root. Within a layer every
+    * rank runs [[buildNode]] on the common fork-join pool; since each reads
+    * only the finished layer below and writes only its own slice, the
+    * result is identical to the sequential [[buildSegmentLayer]] order.
+    */
   def build(vs: VecStore, m: Int, ef: Int): ElementalGraphs = {
     val n = vs.n
     val depth = SegmentTree.depth(n)
     val layers = Array.fill(depth)(Array.fill(n * m)(-1))
-    buildInto(vs, layers, m, ef, 0, n - 1, 0)
+    for (lay <- depth - 2 to 0 by -1)
+      IntStream.range(0, n).parallel().forEach { u =>
+        val (l, r) = SegmentTree.segmentAt(n, lay, u)
+        buildNode(vs, layers, m, ef, l, r, lay, u)
+      }
     new ElementalGraphs(n, m, layers)
   }
 }

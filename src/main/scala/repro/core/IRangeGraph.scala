@@ -29,8 +29,7 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
       entries = IRangeGraph.entries(L, R),
       beam = beam, k = k,
       neighbors = (u: Int) => {
-        if (skipLayers) EdgeSelection.select(graphs, u, L, R, scratch)
-        else EdgeSelection.selectNoSkip(graphs, u, L, R, scratch)
+        EdgeSelection.select(graphs, u, L, R, scratch, skipLayers)
         scratch
       },
       stats = stats,
@@ -57,7 +56,7 @@ object IRangeGraph {
     Seq(L + len / 2, L, R, L + len / 4, L + 3 * len / 4).distinct
   }
 
-  /** Driver-local build: sorts nothing — callers supply vectors already in
+  /** Builds the index; sorts nothing — callers supply vectors already in
     * attribute-rank order (Section 2.2's rank mapping).
     */
   def build(vs: VecStore, m: Int, ef: Int): IRangeGraph =

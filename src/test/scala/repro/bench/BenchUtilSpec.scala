@@ -58,6 +58,25 @@ class BenchUtilSpec extends AnyFunSuite {
     assert(s >= 0.015)
   }
 
+  test("allThreadsCpuAndWallSeconds counts CPU spent on pool threads") {
+    // Each task measures its own thread's CPU; the sum over all threads must
+    // cover them (the common pool's workers outlive the body).
+    val perTask = new java.util.concurrent.atomic.AtomicLong
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+    val (v, cpu, wall) = allThreadsCpuAndWallSeconds {
+      java.util.stream.IntStream.range(0, 8).parallel().forEach { _ =>
+        val t0 = mx.getCurrentThreadCpuTime
+        var x = 0L
+        while (mx.getCurrentThreadCpuTime - t0 < 20000000L) x += 1
+        perTask.addAndGet(mx.getCurrentThreadCpuTime - t0)
+      }
+      7
+    }
+    assert(v == 7)
+    assert(wall > 0.0)
+    assert(cpu >= 0.95 * perTask.get / 1e9, s"cpu $cpu s vs tasks ${perTask.get / 1e9} s")
+  }
+
   test("fmt helpers") {
     assert(fmtQps(None) == "fail")
     assert(fmtQps(Some(1234.6)) == "1235")

@@ -18,7 +18,7 @@ class EdgeSelectionSpec extends AnyFunSuite {
 
   private def selNoSkip(u: Int, L: Int, R: Int): Seq[Int] = {
     val out = new Array[Int](m + 1)
-    val c = EdgeSelection.selectNoSkip(g, u, L, R, out)
+    val c = EdgeSelection.select(g, u, L, R, out, skip = false)
     out.take(c).toSeq
   }
 
@@ -122,7 +122,7 @@ class EdgeSelectionSpec extends AnyFunSuite {
     val out = Array.fill(m + 1)(99)
     val c = EdgeSelection.select(g, 10, 0, 50, out)
     assert(out(c) == -1)
-    val c2 = EdgeSelection.selectNoSkip(g, 10, 0, 50, out)
+    val c2 = EdgeSelection.select(g, 10, 0, 50, out, skip = false)
     assert(out(c2) == -1)
   }
 

@@ -2,8 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
-import repro.graph.{BruteForce, RngPrune}
+import repro.graph.{BruteForce, RngPrune, VecStore}
 import repro.data.GroundTruth
+import scala.collection.mutable
 
 class ElementalGraphBuilderSpec extends AnyFunSuite {
 
@@ -110,5 +111,68 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
 
   test("space is O(n m log n): bounded by n*m per layer") {
     assert(g.edgeCount <= 512L * 8 * g.numLayers)
+  }
+
+  /** Sequential reference: every segment of each layer through
+    * `buildSegmentLayer`, bottom-up, with the segments found by recursion
+    * from the root (independently of `SegmentTree.segmentAt`).
+    */
+  private def sequentialReference(vs: VecStore, m: Int, ef: Int): Array[Array[Int]] = {
+    val n = vs.n
+    val depth = SegmentTree.depth(n)
+    val segments = Array.fill(depth)(mutable.ArrayBuffer.empty[(Int, Int)])
+    def collect(l: Int, r: Int, lay: Int): Unit = {
+      segments(lay) += ((l, r))
+      if (l < r) {
+        val mid = SegmentTree.mid(l, r)
+        collect(l, mid, lay + 1)
+        collect(mid + 1, r, lay + 1)
+      }
+    }
+    collect(0, n - 1, 0)
+    val layers = Array.fill(depth)(Array.fill(n * m)(-1))
+    for (lay <- depth - 1 to 0 by -1; (l, r) <- segments(lay))
+      ElementalGraphBuilder.buildSegmentLayer(vs, layers, m, ef, l, r, lay)
+    layers
+  }
+
+  private def assertEqualsReference(vs: VecStore, m: Int, ef: Int): Unit = {
+    val ref = sequentialReference(vs, m, ef)
+    for (rep <- 1 to 3) {
+      val g = ElementalGraphBuilder.build(vs, m, ef)
+      assert(g.numLayers == ref.length, s"build $rep")
+      for (lay <- ref.indices)
+        assert(java.util.Arrays.equals(g.layers(lay), ref(lay)), s"build $rep: layer $lay differs")
+    }
+  }
+
+  // The sizes and m/ef of the former distributed-build checks, then tiny n.
+  for ((label, data, m, ef) <- Seq(
+         ("n = 600", () => TestData.clusteredVs(600, 8, clusters = 6, seed = 131), 8, 40),
+         ("n = 200", () => TestData.clusteredVs(200, 6, clusters = 4, seed = 132), 6, 30),
+         ("n = 10", () => TestData.randomVs(10, 4, seed = 133), 4, 10),
+         ("n = 50", () => TestData.randomVs(50, 4, seed = 134), 4, 20),
+         ("n = 1", () => TestData.randomVs(1, 4, seed = 136), 4, 10),
+         ("n = 2", () => TestData.randomVs(2, 4, seed = 137), 4, 10),
+         ("n = 3", () => TestData.randomVs(3, 4, seed = 138), 4, 10))) {
+    test(s"build equals the sequential reference ($label)") {
+      assertEqualsReference(data(), m, ef)
+    }
+  }
+
+  test("build equals the sequential reference (identical vectors)") {
+    // Every distance is 0, so only the (dist, id) tie-break orders neighbors;
+    // n = 300 takes the sibling beam-search path on the upper layers.
+    val same = new VecStore(4, 300, Array.tabulate(300 * 4)(i => (i % 4).toFloat))
+    assertEqualsReference(same, 8, 20)
+  }
+
+  test("search quality on the built index matches brute force") {
+    val vs600 = TestData.clusteredVs(600, 8, clusters = 6, seed = 131)
+    val ir = IRangeGraph.build(vs600, m = 8, ef = 40)
+    val q = TestData.nearQueries(vs600, 1, seed = 135)(0)
+    val got = ir.search(q, 50, 550, 10, 100).map(_.id)
+    val exact = BruteForce.topKIds(vs600, q, 50, 550, 10)
+    assert(got.intersect(exact).length >= 8)
   }
 }

@@ -141,4 +141,15 @@ class IRangeGraphSpec extends AnyFunSuite {
     val exact = BruteForce.topKIds(odd, q, 100, 600, 10)
     assert(got.intersect(exact).length >= 8, s"recall ${got.intersect(exact).length}/10")
   }
+
+  test("tiny indexes (n = 1, 2, 3) answer every range exactly") {
+    for (tn <- 1 to 3) {
+      val tvs = TestData.randomVs(tn, 4, seed = 99 + tn)
+      val tir = IRangeGraph.build(tvs, m = 4, ef = 10)
+      val q = TestData.randomQueries(1, 4, seed = 103)(0)
+      for (l <- 0 until tn; r <- l until tn)
+        assert(tir.search(q, l, r, 10, 10).toSeq == BruteForce.topK(tvs, q, l, r, 10).toSeq,
+          s"n = $tn, [$l, $r]")
+    }
+  }
 }
