@@ -38,7 +38,8 @@ object EdgeSelection {
     var done = false
     while (!done && count < m && l < r) {
       val cm = SegmentTree.mid(l, r)
-      val (lc, rc) = if (u <= cm) (l, cm) else (cm + 1, r)
+      val lc = if (u <= cm) l else cm + 1
+      val rc = if (u <= cm) cm else r
       if (skip && SegmentTree.intersectLen(lc, rc, L, R) == SegmentTree.intersectLen(l, r, L, R)) {
         // Same intersection: child's edges are equally robust — skip layer.
         l = lc; r = rc; lay += 1

@@ -77,19 +77,17 @@ object ElementalGraphBuilder {
       val found =
         if (siblingHi - siblingLo + 1 <= ef)
           BruteForce.topK(vs, q, siblingLo, siblingHi, ef)
-        else
+        else {
+          // One adjacency buffer for the whole search: the kernel is done
+          // with a neighbor list before it asks for the next.
+          val adj = new Array[Int](m)
           BeamSearch.search(
             q, (i: Int) => vs.dist2(i, q),
             entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
             beam = ef, k = ef,
-            neighbors = (x: Int) => {
-              val out = new Array[Int](m)
-              val b = x * m
-              var t = 0
-              while (t < m) { out(t) = childAdj(b + t); t += 1 }
-              out
-            },
+            neighbors = (x: Int) => { System.arraycopy(childAdj, x * m, adj, 0, m); adj },
           )
+        }
       found.foreach { c => if (seen.add(c.id)) cands += c }
       writeNeighbors(target, m, u, RngPrune.prune(cands.toArray, (a, b) => vs.dist2(a, b), m))
     }

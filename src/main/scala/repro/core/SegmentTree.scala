@@ -36,8 +36,9 @@ object SegmentTree {
   def segmentAt(n: Int, lay: Int, u: Int): (Int, Int) = {
     var l = 0; var r = n - 1; var i = 0
     while (i < lay && l < r) {
-      val c = childContaining(l, r, u)
-      l = c._1; r = c._2; i += 1
+      val m = mid(l, r)
+      if (u <= m) r = m else l = m + 1
+      i += 1
     }
     (l, r)
   }

@@ -44,7 +44,7 @@ final class Hnsw private (
     l - 1
   }
 
-  private def neighborsAt(level: Int, u: Int): mutable.ArrayBuffer[Int] =
+  private[graph] def neighborsAt(level: Int, u: Int): mutable.ArrayBuffer[Int] =
     adjacency(level)(u)
 
   /** Beam search restricted to one level of the partially built graph. */

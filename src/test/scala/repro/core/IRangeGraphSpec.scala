@@ -1,9 +1,11 @@
 package repro.core
 
+import java.util.concurrent.CountDownLatch
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
-import repro.data.GroundTruth
-import repro.graph.{BruteForce, SearchStats}
+import repro.data.{GroundTruth, Workload}
+import repro.graph.{BruteForce, Candidate, SearchStats}
+import scala.util.Try
 
 class IRangeGraphSpec extends AnyFunSuite {
 
@@ -108,6 +110,42 @@ class IRangeGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { ir.search(queries(0), -1, 5, 10, 50) }
     intercept[IllegalArgumentException] { ir.search(queries(0), 5, n, 10, 50) }
     intercept[IllegalArgumentException] { ir.search(queries(0), 9, 3, 10, 50) }
+  }
+
+  test("invalid query is rejected: wrong dim, NaN, k <= 0, beam < k") {
+    val q = queries(0)
+    intercept[IllegalArgumentException] { ir.search(q.take(9), 0, 99, 10, 50) }
+    intercept[IllegalArgumentException] { ir.search(q :+ 0f, 0, 99, 10, 50) }
+    intercept[IllegalArgumentException] { ir.search(q.updated(3, Float.NaN), 0, 99, 10, 50) }
+    intercept[IllegalArgumentException] { ir.search(q, 0, 99, 0, 50) }
+    intercept[IllegalArgumentException] { ir.search(q, 0, 99, -1, 50) }
+    intercept[IllegalArgumentException] { ir.search(q, 0, 99, 10, 9) }
+    intercept[IllegalArgumentException] { ir.search(q, 0, 99, 10, 0) }
+    assert(ir.search(q, 0, 99, 10, 10).length == 10)
+  }
+
+  test("four threads sharing the index give the answers of a sequential pass") {
+    val batch = Workload.mixed(n, 300, seed = 104)
+    val qs = TestData.nearQueries(vs, batch.length, seed = 105)
+    def answer(i: Int): Seq[Candidate] =
+      ir.search(qs(i), batch(i).L, batch(i).R, 10, 40, skipLayers = i % 3 != 0).toSeq
+    val expected = qs.indices.map(answer)
+    // Answers (or exceptions) that differ from the sequential pass, per thread.
+    val wrong = new Array[Int](4)
+    val start = new CountDownLatch(1)
+    val threads = (0 until 4).map { t =>
+      new Thread(() => {
+        start.await()
+        for (_ <- 1 to 3; j <- qs.indices) {
+          val i = (j + 75 * t) % qs.length
+          if (!Try(answer(i)).toOption.contains(expected(i))) wrong(t) += 1
+        }
+      })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(wrong.toSeq == Seq(0, 0, 0, 0))
   }
 
   test("recall improves with beam size on moderate ranges") {

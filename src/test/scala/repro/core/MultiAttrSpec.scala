@@ -98,6 +98,22 @@ class MultiAttrSpec extends AnyFunSuite {
     assert(a == b)
   }
 
+  test("invalid range or query is rejected") {
+    val q = queries(0)
+    def run(q: Array[Float], l1: Int, r1: Int, k: Int, beam: Int) =
+      MultiAttr.search(ir, attr2Rank, q, l1, r1, 0, n - 1, k, beam, MultiAttr.PostFilter)
+    intercept[IllegalArgumentException] { run(q, -1, 5, 10, 50) }
+    intercept[IllegalArgumentException] { run(q, 5, n, 10, 50) }
+    intercept[IllegalArgumentException] { run(q, 9, 3, 10, 50) }
+    intercept[IllegalArgumentException] { run(q.take(7), 0, 99, 10, 50) }
+    intercept[IllegalArgumentException] { run(q :+ 0f, 0, 99, 10, 50) }
+    intercept[IllegalArgumentException] { run(q.updated(0, Float.NaN), 0, 99, 10, 50) }
+    intercept[IllegalArgumentException] { run(q, 0, 99, 0, 50) }
+    intercept[IllegalArgumentException] { run(q, 0, 99, 10, 9) }
+    intercept[IllegalArgumentException] { run(q, 0, 99, 10, 0) }
+    assert(run(q, 0, 99, 10, 10).length == 10)
+  }
+
   test("empty conjunction returns empty results") {
     // Second range matches nothing reachable.
     val got = MultiAttr.search(ir, attr2Rank, queries(0), 0, 10, n - 1, n - 1, 10, 50,

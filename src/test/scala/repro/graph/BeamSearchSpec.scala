@@ -91,6 +91,57 @@ class BeamSearchSpec extends AnyFunSuite {
     assert(got.isEmpty)
   }
 
+  /** A sparse ring-like graph, so a search expands many nodes. */
+  private val ring: Int => Array[Int] = u => Array((u + 1) % 60, (u + 7) % 60, (u + 59) % 60)
+
+  private def counters(s: SearchStats) = (s.distComputations, s.nodesExpanded, s.edgesScanned)
+
+  test("a neighbors callback that itself searches still gets the reference answer") {
+    val q = queries(0)
+    def innerSearch(u: Int) = BeamSearch.search(q, i => vs.dist2(i, q), Seq(u), beam = 5, k = 5,
+      neighbors = ring).toSeq
+    var innerCalls = 0
+    val (s, sRef) = (new SearchStats, new SearchStats)
+    val got = BeamSearch.search(q, i => vs.dist2(i, q), Seq(0), beam = 10, k = 10,
+      neighbors = u => {
+        innerCalls += 1
+        assert(innerSearch(u) == HeapBeamSearch.search(q, i => vs.dist2(i, q), Seq(u), beam = 5,
+          k = 5, neighbors = ring).toSeq, s"inner search from $u")
+        ring(u)
+      }, stats = s)
+    val expected = HeapBeamSearch.search(q, i => vs.dist2(i, q), Seq(0), beam = 10, k = 10,
+      neighbors = ring, stats = sRef)
+    assert(innerCalls > 1)
+    assert(got.toSeq == expected.toSeq)
+    assert(counters(s) == counters(sRef))
+  }
+
+  test("the visited set stays correct across an epoch wrap") {
+    // Reach into this thread's pooled kernel: stamp every node with epoch 1,
+    // jump to the last epoch, and search on past the wrap, where stale
+    // stamps of 1 would hide unvisited nodes unless the set is cleared.
+    val poolField = BeamSearch.getClass.getDeclaredField("pool")
+    poolField.setAccessible(true)
+    val kernel = poolField.get(BeamSearch).asInstanceOf[ThreadLocal[AnyRef]].get
+    val epoch = kernel.getClass.getDeclaredField("epoch")
+    epoch.setAccessible(true)
+    def both(q: Array[Float]) = {
+      val (s, sRef) = (new SearchStats, new SearchStats)
+      val got = BeamSearch.search(q, i => vs.dist2(i, q), Seq(0), beam = 10, k = 10,
+        neighbors = ring, stats = s)
+      val expected = HeapBeamSearch.search(q, i => vs.dist2(i, q), Seq(0), beam = 10, k = 10,
+        neighbors = ring, stats = sRef)
+      assert(got.toSeq == expected.toSeq)
+      assert(counters(s) == counters(sRef))
+    }
+    epoch.setInt(kernel, 0)
+    BeamSearch.search(queries(0), i => vs.dist2(i, queries(0)), Seq(0), beam = 60, k = 10,
+      neighbors = completeNeighbors(60)) // stamps all 60 nodes
+    epoch.setInt(kernel, Int.MaxValue - 1)
+    queries.foreach(both)
+    assert(epoch.getInt(kernel) == queries.length - 1)
+  }
+
   test("entries rejected by visit yield empty results") {
     val got = BeamSearch.search(queries(0), i => vs.dist2(i, queries(0)), Seq(0),
       beam = 10, k = 10, neighbors = completeNeighbors(60), visit = _ => false)
