@@ -3,7 +3,8 @@ package repro.bench
 /** Reproduces Table 2 (memory footprint). Prints exact byte accounting per
   * method per dataset and asserts the paper's qualitative ordering:
   * SuperPostfiltering > iRangeGraph; Pre-filtering == raw vectors;
-  * Milvus close to a single whole-set index.
+  * Milvus close to a single whole-set index. Also prints iRangeGraph's
+  * resident adjacency bytes next to its paper-style edge bytes.
   */
 class Table2MemoryBench extends repro.SparkSpec {
 
@@ -31,5 +32,11 @@ class Table2MemoryBench extends repro.SparkSpec {
     // Milvus (10 disjoint partition HNSWs) is leaner than iRangeGraph's
     // log-n layers.
     res.datasets.indices.foreach(i => assert(milvus(i) < irg(i)))
+    // The packed adjacency holds the edges plus one offset per (rank, layer)
+    // and stays well below the padded layout.
+    val Seq(edges, packed, padded) = res.irgAdjacency.map(_.bytesPerDataset)
+    res.datasets.indices.foreach { i =>
+      assert(edges(i) < packed(i) && 2 * packed(i) < padded(i), res.datasets(i))
+    }
   }
 }

@@ -49,6 +49,7 @@ final class FilteredVamana(
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k, beam)
     val bLo = FilteredDiskann.bucketOf(vs.n, buckets, L)
     val bHi = FilteredDiskann.bucketOf(vs.n, buckets, R)
     val entries = (bLo to bHi).map { b => val (lo, hi) = bounds(b); lo + (hi - lo) / 2 }
@@ -92,6 +93,7 @@ final class StitchedVamana(
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k, beam)
     val bLo = FilteredDiskann.bucketOf(vs.n, buckets, L)
     val bHi = FilteredDiskann.bucketOf(vs.n, buckets, R)
     val lists = (bLo to bHi).map { b =>

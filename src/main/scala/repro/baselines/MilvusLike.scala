@@ -40,6 +40,7 @@ final class MilvusLike(
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null,
              extraAdmit: Int => Boolean = _ => true): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k, beam)
     if (R - L + 1 <= bruteForceThreshold)
       return BruteForce.topK(vs, q, L, R, k, extraAdmit)
     val lists = bounds.indices.collect {

@@ -11,6 +11,8 @@ import repro.graph.{BruteForce, Candidate, VecStore}
 object PreFiltering {
 
   def search(vs: VecStore, q: Array[Float], L: Int, R: Int, k: Int,
-             pred: Int => Boolean = _ => true): Array[Candidate] =
+             pred: Int => Boolean = _ => true): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k, beam = k)
     BruteForce.topK(vs, q, L, R, k, pred)
+  }
 }

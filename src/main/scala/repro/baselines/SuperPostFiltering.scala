@@ -49,6 +49,7 @@ final class SuperPostFiltering(
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k, beam)
     val (lo, hi, h) = coveringWindow(L, R)
     if (hi - lo + 1 <= 2 * k) BruteForce.topK(vs, q, L, R, k)
     else h.search(q, k, beam, admit = i => i >= L && i <= R, stats = stats)

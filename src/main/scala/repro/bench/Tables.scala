@@ -29,10 +29,14 @@ object Tables {
   // ---------------------------------------------------------------- Table 2
 
   final case class Table2Row(method: String, bytesPerDataset: Seq[Long])
-  final case class Table2Result(datasets: Seq[String], rows: Seq[Table2Row], text: String)
+  final case class Table2Result(datasets: Seq[String], rows: Seq[Table2Row],
+                                irgAdjacency: Seq[Table2Row], text: String)
 
   /** Memory footprint: raw vectors + index bytes per method (the paper
-    * reports overall footprint; raw vectors listed for reference).
+    * reports overall footprint; raw vectors listed for reference). A second
+    * table sets iRangeGraph's paper-style edge bytes next to the bytes its
+    * packed adjacency occupies in memory and those of a padded n*m layout
+    * per layer.
     */
   def table2(): Table2Result = {
     val dss = BenchContext.datasets
@@ -41,10 +45,16 @@ object Tables {
     val rows = raw +: methodNames.map { mn =>
       Table2Row(mn, suites.map(s => s.ds.rawVectorBytes + s.method(mn).indexBytes))
     }
-    val text = formatTable("Table 2 — Memory footprint (MB)",
-      "method" +: dss.map(_.name),
-      rows.map(r => r.method +: r.bytesPerDataset.map(fmtMB)))
-    Table2Result(dss.map(_.name), rows, text)
+    val graphs = suites.map(_.irg.graphs)
+    val adjacency = Seq(
+      Table2Row("edges (4 B each)", graphs.map(_.sizeBytes)),
+      Table2Row("packed, resident", graphs.map(_.residentBytes)),
+      Table2Row("padded n*m per layer", graphs.map(g => 4L * g.n * g.m * g.numLayers)))
+    def table(title: String, rs: Seq[Table2Row]) = formatTable(title,
+      "method" +: dss.map(_.name), rs.map(r => r.method +: r.bytesPerDataset.map(fmtMB)))
+    val text = table("Table 2 — Memory footprint (MB)", rows) + "\n" +
+      table("Table 2 — iRangeGraph adjacency (MB)", adjacency)
+    Table2Result(dss.map(_.name), rows, adjacency, text)
   }
 
   // ---------------------------------------------------------------- Table 3

@@ -14,22 +14,17 @@ object BasicSearch {
   def search(vs: VecStore, graphs: ElementalGraphs,
              q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k, beam)
     val m = graphs.m
     val pieces = SegmentTree.decompose(graphs.n, L, R).map { case (lay, l, r) =>
       if (l == r) Array(Candidate(l, vs.dist2(l, q)))
       else {
-        val adj = graphs.layers(lay)
-        val scratch = new Array[Int](m)
+        val scratch = new Array[Int](m + 1)
         BeamSearch.search(
           q, (i: Int) => vs.dist2(i, q),
           entries = Seq(SegmentTree.mid(l, r), l, r).distinct,
           beam = beam, k = k,
-          neighbors = (u: Int) => {
-            val base = u * m
-            var t = 0
-            while (t < m) { scratch(t) = adj(base + t); t += 1 }
-            scratch
-          },
+          neighbors = (u: Int) => { scratch(graphs.neighborsInto(lay, u, scratch)) = -1; scratch },
           stats = stats,
         )
       }

@@ -2,55 +2,125 @@ package repro.core
 
 /** Storage for all elemental graphs of the segment tree (Section 3.2).
   *
-  * `layers(lay)` is a flat adjacency array of length n*m: the neighbors of
-  * rank u in its layer-`lay` elemental graph live at `[u*m, (u+1)*m)`,
-  * sorted ascending by (distance to u, id), padded with -1. Because each
-  * rank belongs to exactly one segment per layer, a single flat array per
-  * layer stores every segment's graph of that layer — the O(n m log n)
-  * space bound is explicit in this layout.
+  * Node-major and packed, as hnswlib keeps each node's links in one block:
+  * `adj` holds rank u's layer-0, 1, …, D−1 neighbor lists back to back,
+  * then rank u+1's, with no padding. u's layer-`lay` list is
+  * `adj[start(u*(D+1) + lay), start(u*(D+1) + lay + 1))`, sorted ascending
+  * by (distance to u, id). Each rank belongs to exactly one segment per
+  * layer, so the lists of all segments' graphs share one array and the
+  * O(n m log n) space bound is explicit.
+  *
+  * The constructor takes the builder's padded working layout — `padded(lay)`
+  * is an n*m array holding u's list at `[u*m, (u+1)*m)`, padded with -1 —
+  * and packs it once; no padded array is retained.
   */
 final class ElementalGraphs(
     val n: Int,
     val m: Int,
-    val layers: Array[Array[Int]],
+    padded: Array[Array[Int]],
 ) extends Serializable {
-  require(layers.forall(_.length == n * m), "each layer must be a flat n*m array")
+  require(padded.forall(_.length == n * m), "each layer must be a flat n*m array")
 
-  def numLayers: Int = layers.length
+  val numLayers: Int = padded.length
+
+  /** Offsets per rank: D + 1 entries each, u's block at `u * stride`. */
+  private[core] val stride: Int = numLayers + 1
+
+  /** `start(u*stride + lay)` is where u's layer-`lay` list begins in `adj`
+    * and `start(u*stride + lay + 1)` where it ends.
+    */
+  private[core] val start: Array[Int] = ElementalGraphs.offsets(n, m, padded)
+
+  private[core] val adj: Array[Int] = ElementalGraphs.lists(n, m, padded, start)
+
+  /** The padded per-layer view, each layer rebuilt on demand (tests,
+    * build checks): `layers(lay)` is a fresh n*m array, -1-padded.
+    */
+  def layers: IndexedSeq[Array[Int]] = new IndexedSeq[Array[Int]] {
+    def length: Int = numLayers
+    def apply(lay: Int): Array[Int] = {
+      if (lay < 0 || lay >= numLayers) throw new IndexOutOfBoundsException(s"layer $lay")
+      val a = Array.fill(n * m)(-1)
+      var u = 0
+      while (u < n) { neighborsInto(lay, u, a, u * m); u += 1 }
+      a
+    }
+  }
 
   /** Degree of u at layer `lay`. */
   def degree(lay: Int, u: Int): Int = {
-    val a = layers(lay)
-    val base = u * m
-    var d = 0
-    while (d < m && a(base + d) >= 0) d += 1
-    d
+    val s = u * stride + lay
+    start(s + 1) - start(s)
   }
 
   /** Neighbors of u at layer `lay` as a fresh exact-size array (tests). */
   def neighbors(lay: Int, u: Int): Array[Int] = {
-    val a = layers(lay)
-    val base = u * m
-    val d = degree(lay, u)
-    val out = new Array[Int](d)
-    var i = 0
-    while (i < d) { out(i) = a(base + i); i += 1 }
-    out
+    val s = u * stride + lay
+    java.util.Arrays.copyOfRange(adj, start(s), start(s + 1))
+  }
+
+  /** Copies u's layer-`lay` list into `out` at `at`; returns its length. */
+  def neighborsInto(lay: Int, u: Int, out: Array[Int], at: Int = 0): Int = {
+    val s = u * stride + lay
+    val d = start(s + 1) - start(s)
+    System.arraycopy(adj, start(s), out, at, d)
+    d
   }
 
   /** Total stored directed edges. */
-  def edgeCount: Long = {
-    var s = 0L
-    var lay = 0
-    while (lay < layers.length) {
-      val a = layers(lay)
-      var i = 0
-      while (i < a.length) { if (a(i) >= 0) s += 1; i += 1 }
-      lay += 1
-    }
-    s
-  }
+  def edgeCount: Long = adj.length.toLong
 
   /** Index bytes: 4 per stored neighbor id (paper-style accounting). */
   def sizeBytes: Long = edgeCount * 4L
+
+  /** Bytes the adjacency occupies in memory: the lists plus the offsets. */
+  def residentBytes: Long = (adj.length.toLong + start.length) * 4L
+}
+
+/** The packing, in methods of their own: the same loops in the constructor
+  * body ran 10x slower (34 ms against 3 ms at n = 4096, m = 16 on OpenJDK
+  * 17). Both walk the padded layers in order, one layer after another.
+  */
+private object ElementalGraphs {
+
+  /** Each list's degree into its end slot, then an inclusive prefix sum
+    * over the node-major slots.
+    */
+  def offsets(n: Int, m: Int, padded: Array[Array[Int]]): Array[Int] = {
+    val stride = padded.length + 1
+    val start = new Array[Int](n * stride)
+    var lay = 0
+    while (lay < padded.length) {
+      val a = padded(lay)
+      var u = 0
+      while (u < n) {
+        val base = u * m
+        var d = 0
+        while (d < m && a(base + d) >= 0) d += 1
+        start(u * stride + lay + 1) = d
+        u += 1
+      }
+      lay += 1
+    }
+    var i = 1
+    while (i < start.length) { start(i) += start(i - 1); i += 1 }
+    start
+  }
+
+  def lists(n: Int, m: Int, padded: Array[Array[Int]], start: Array[Int]): Array[Int] = {
+    val stride = padded.length + 1
+    val adj = new Array[Int](if (start.isEmpty) 0 else start(start.length - 1))
+    var lay = 0
+    while (lay < padded.length) {
+      val a = padded(lay)
+      var u = 0
+      while (u < n) {
+        val s = u * stride + lay
+        System.arraycopy(a, u * m, adj, start(s), start(s + 1) - start(s))
+        u += 1
+      }
+      lay += 1
+    }
+    adj
+  }
 }

@@ -21,7 +21,7 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              skipLayers: Boolean = true,
              stats: SearchStats = null): Array[Candidate] = {
-    checkQuery(q, L, R, k, beam)
+    vs.checkQuery(q, L, R, k, beam)
     // Scratch adjacency reused across expansions (-1-terminated).
     val scratch = new Array[Int](m + 1)
     BeamSearch.search(
@@ -34,20 +34,6 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
       },
       stats = stats,
     )
-  }
-
-  /** Rejects a query this index cannot answer: a range outside [0, n-1]
-    * or empty, a vector of the wrong dimension or with a NaN component,
-    * k <= 0, or beam < k.
-    */
-  private[core] def checkQuery(q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Unit = {
-    require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
-    require(q.length == vs.dim, s"query has dimension ${q.length}, the index ${vs.dim}")
-    var i = 0
-    while (i < q.length && !q(i).isNaN) i += 1
-    require(i == q.length, s"query component $i is NaN")
-    require(k > 0, s"k must be positive, got $k")
-    require(beam >= k, s"beam $beam is smaller than k = $k")
   }
 
   /** Index bytes (elemental graph edges only; vectors accounted separately,

@@ -31,7 +31,7 @@ object MultiAttr {
              q: Array[Float], L1: Int, R1: Int, L2: Int, R2: Int,
              k: Int, beam: Int, strategy: Strategy,
              stats: SearchStats = null): Array[Candidate] = {
-    ir.checkQuery(q, L1, R1, k, beam)
+    ir.vs.checkQuery(q, L1, R1, k, beam)
     val g = ir.graphs
     val scratch = new Array[Int](g.m + 1)
     def inRange2(i: Int): Boolean = { val a = attr2Rank(i); a >= L2 && a <= R2 }

@@ -54,6 +54,21 @@ final class VecStore(val dim: Int, val n: Int, val data: Array[Float]) extends S
     new VecStore(dim, m, out)
   }
 
+  /** Rejects a range query no method over this store can answer: a range
+    * of ids outside [0, n-1] or empty, a vector of the wrong dimension or
+    * with a NaN component, k <= 0, or beam < k. Every RFANN entry point
+    * calls it first.
+    */
+  def checkQuery(q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Unit = {
+    require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
+    require(q.length == dim, s"query has dimension ${q.length}, the index $dim")
+    var i = 0
+    while (i < q.length && !q(i).isNaN) i += 1
+    require(i == q.length, s"query component $i is NaN")
+    require(k > 0, s"k must be positive, got $k")
+    require(beam >= k, s"beam $beam is smaller than k = $k")
+  }
+
   /** Raw bytes held by the vectors (for memory-footprint accounting). */
   def sizeBytes: Long = data.length.toLong * 4L
 }

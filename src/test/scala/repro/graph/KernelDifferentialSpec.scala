@@ -173,7 +173,7 @@ class KernelDifferentialSpec extends AnyFunSuite {
         (kn, s) => BruteForce.mergeTopK(SegmentTree.decompose(g.n, l, r).map { case (lay, sl, sr) =>
           if (sl == sr) Array(Candidate(sl, fx.vs.dist2(sl, q)))
           else kn(q, i => fx.vs.dist2(i, q), Seq(SegmentTree.mid(sl, sr), sl, sr).distinct,
-            beam, k, u => java.util.Arrays.copyOfRange(g.layers(lay), u * g.m, (u + 1) * g.m),
+            beam, k, u => g.neighbors(lay, u),
             all, all, s)
         }, k))
     }
