@@ -84,21 +84,8 @@ object EdgeSelection {
     count
   }
 
-  private val pool = ThreadLocal.withInitial[Marks](() => new Marks)
-
-  /** The ids one `select` call has seen: `mark(v) == epoch`. Each call bumps
-    * the epoch; the array is zero-filled only when the epoch wraps, and
-    * grows to the index's n. Confined to one thread, and `select` makes no
-    * callback that could re-enter it.
+  /** The ids one `select` call has seen. Confined to one thread, and
+    * `select` makes no callback that could re-enter it.
     */
-  private final class Marks {
-    var mark = new Array[Int](0)
-    var epoch = 0
-
-    def next(n: Int): Unit = {
-      if (mark.length < n) mark = new Array[Int](n)
-      if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
-      epoch += 1
-    }
-  }
+  private val pool = ThreadLocal.withInitial[Marks](() => new Marks)
 }

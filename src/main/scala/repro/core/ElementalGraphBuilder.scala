@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.stream.IntStream
 import repro.graph.{BeamSearch, BruteForce, Candidate, RngPrune, VecStore}
-import scala.collection.mutable
 
 /** Bottom-up materialization of all elemental graphs (Section 3.2.2).
   *
@@ -62,14 +61,19 @@ object ElementalGraphBuilder {
       val childAdj = layers(lay + 1)
       val (siblingLo, siblingHi) =
         if (u <= mid) (mid + 1, r) else (l, mid)
-      val cands = mutable.ArrayBuffer.empty[Candidate]
-      val seen = mutable.HashSet.empty[Int]
+      // Candidates from both sources, deduplicated through this thread's marks.
+      val cands = new Array[Candidate](m + ef)
+      var size = 0
+      val marks = seen.get
+      marks.next(vs.n)
+      val mark = marks.mark
+      val epoch = marks.epoch
       // 1. Copy u's neighbors from its containing child's graph.
       val base = u * m
       var j = 0
       while (j < m && childAdj(base + j) >= 0) {
         val v = childAdj(base + j)
-        if (seen.add(v)) cands += Candidate(v, vs.dist2(u, v))
+        if (mark(v) != epoch) { mark(v) = epoch; cands(size) = Candidate(v, vs.dist2(u, v)); size += 1 }
         j += 1
       }
       // 2. Search the sibling child's graph for approximate NNs of u.
@@ -88,10 +92,17 @@ object ElementalGraphBuilder {
             neighbors = (x: Int) => { System.arraycopy(childAdj, x * m, adj, 0, m); adj },
           )
         }
-      found.foreach { c => if (seen.add(c.id)) cands += c }
-      writeNeighbors(target, m, u, RngPrune.prune(cands.toArray, (a, b) => vs.dist2(a, b), m))
+      j = 0
+      while (j < found.length) {
+        val c = found(j)
+        if (mark(c.id) != epoch) { mark(c.id) = epoch; cands(size) = c; size += 1 }
+        j += 1
+      }
+      writeNeighbors(target, m, u, RngPrune.prune(cands.take(size), (a, b) => vs.dist2(a, b), m))
     }
   }
+
+  private val seen = ThreadLocal.withInitial[Marks](() => new Marks)
 
   private def writeNeighbors(flat: Array[Int], m: Int, u: Int, kept: Array[Candidate]): Unit = {
     val base = u * m

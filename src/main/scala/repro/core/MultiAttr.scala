@@ -27,6 +27,13 @@ object MultiAttr {
   /** p = exp(-t); deterministic given the per-query seed. */
   final case class Probabilistic(seed: Long) extends Strategy
 
+  /** exp(-t) for t >= 0, as `math.exp` gives it: read from a table, and
+    * 0.0 from t = 746 on, where the double underflows.
+    */
+  private[core] def expNeg(t: Int): Double = if (t < expTable.length) expTable(t) else 0.0
+
+  private val expTable = Array.tabulate(746)(t => math.exp(-t.toDouble))
+
   def search(ir: IRangeGraph, attr2Rank: Array[Int],
              q: Array[Float], L1: Int, R1: Int, L2: Int, R2: Int,
              k: Int, beam: Int, strategy: Strategy,
@@ -46,7 +53,7 @@ object MultiAttr {
         (i: Int) => {
           if (inRange2(i)) { t = 0; true }
           else {
-            val p = math.exp(-t.toDouble)
+            val p = expNeg(t)
             val go = rnd.nextDouble() < p
             if (go) t += 1
             go

@@ -35,9 +35,15 @@ final class SearchStats {
   *
   * The search state lives in primitive arrays that each thread reuses from
   * call to call (the `Kernel` below), so the kernel allocates little beyond
-  * the result array.
+  * the result array. Each ranked node is one [[RankKey]] `Long`.
   */
 object BeamSearch {
+
+  /** The default `admit`: every visited node may be a result. The kernel
+    * recognizes it by reference: with k <= beam the best k visited nodes
+    * are the beam's first k, so it keeps no separate admitted list.
+    */
+  val AdmitAll: Int => Boolean = _ => true
 
   def search(
       q: Array[Float],
@@ -47,7 +53,7 @@ object BeamSearch {
       k: Int,
       neighbors: Int => Array[Int],
       visit: Int => Boolean = _ => true,
-      admit: Int => Boolean = _ => true,
+      admit: Int => Boolean = AdmitAll,
       stats: SearchStats = null,
   ): Array[Candidate] = {
     require(beam >= 1 && k >= 0, s"need beam >= 1 and k >= 0, got beam = $beam, k = $k")
@@ -61,30 +67,24 @@ object BeamSearch {
 
   private val pool = ThreadLocal.withInitial[Kernel](() => new Kernel)
 
-  /** (d1, i1) ranks before (d2, i2). */
-  private def before(d1: Float, i1: Int, d2: Float, i2: Int): Boolean = {
-    val c = java.lang.Float.compare(d1, d2)
-    c < 0 || (c == 0 && i1 < i2)
-  }
-
-  /** Inserts (d, id) into `dists`/`ids`[0, size), sorted ascending and
-    * holding at most `cap` entries, dropping the last entry when full.
-    * Returns the slot taken, or -1 if a full list's last entry ranks first.
+  /** Inserts `key` (a [[RankKey]], bit 0 clear) into `keys`[0, size),
+    * sorted ascending and holding at most `cap` entries, dropping the last
+    * entry when full. Entries may carry bit 0; ids are distinct, so
+    * comparing with `key | 1` orders `key` against them by (dist, id)
+    * alone. Returns the slot taken, or -1 if a full list's last entry ranks
+    * first.
     */
-  private def insert(dists: Array[Float], ids: Array[Int], size: Int, cap: Int,
-                     d: Float, id: Int): Int = {
-    if (size == cap && !before(d, id, dists(size - 1), ids(size - 1))) return -1
+  private def insert(keys: Array[Long], size: Int, cap: Int, key: Long): Int = {
+    val probe = key | 1L
+    if (size == cap && keys(size - 1) < probe) return -1
     var lo = 0
     var hi = size
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      if (before(dists(mid), ids(mid), d, id)) lo = mid + 1 else hi = mid
+      if (keys(mid) < probe) lo = mid + 1 else hi = mid
     }
-    val tail = math.min(size, cap - 1) - lo
-    System.arraycopy(dists, lo, dists, lo + 1, tail)
-    System.arraycopy(ids, lo, ids, lo + 1, tail)
-    dists(lo) = d
-    ids(lo) = id
+    System.arraycopy(keys, lo, keys, lo + 1, math.min(size, cap - 1) - lo)
+    keys(lo) = key
     lo
   }
 
@@ -93,12 +93,13 @@ object BeamSearch {
     *  - **Visited set:** `mark(id) == epoch`. A new search bumps the epoch;
     *    the array is zero-filled only when the epoch wraps, and grows on
     *    demand to the largest id seen.
-    *  - **Beam:** the best `beam` visited nodes, sorted ascending by
-    *    (dist, id) in parallel arrays with an `expanded` flag per slot;
-    *    `cursor` is the first unexpanded slot. It replaces both a frontier
-    *    heap and a beam heap: a frontier entry outside the beam ranks after
-    *    the beam's worst member, so it could only ever end the search.
-    *  - **Admitted list:** the best `max(k, beam)` admitted nodes, sorted.
+    *  - **Beam:** the best `beam` visited nodes as [[RankKey]]s, sorted
+    *    ascending, with bit 0 set once a node is expanded; `cursor` is the
+    *    first unexpanded slot. It replaces both a frontier heap and a beam
+    *    heap: a frontier entry outside the beam ranks after the beam's
+    *    worst member, so it could only ever end the search.
+    *  - **Admitted list:** the best `max(k, beam)` admitted nodes' keys,
+    *    sorted; kept only when `admit` is not [[AdmitAll]] or k > beam.
     */
   private final class Kernel {
     var inUse = false
@@ -106,76 +107,70 @@ object BeamSearch {
     private var mark = new Array[Int](1024)
     private var epoch = 0
 
-    private var beamDist = new Array[Float](64)
-    private var beamId = new Array[Int](64)
-    private var expanded = new Array[Boolean](64)
+    private var beamKeys = new Array[Long](64)
     private var beamSize = 0
     private var cursor = 0
 
-    private var admDist = new Array[Float](64)
-    private var admId = new Array[Int](64)
+    private var admKeys = new Array[Long](64)
     private var admSize = 0
+    private var admCap = 0 // 0: no admitted list
 
     def run(dist: Int => Float, entries: Seq[Int], beam: Int, k: Int,
             neighbors: Int => Array[Int], visit: Int => Boolean, admit: Int => Boolean,
             stats: SearchStats): Array[Candidate] = {
-      val cap = math.max(k, beam)
-      start(beam, cap)
+      start(beam, if ((admit eq AdmitAll) && k <= beam) 0 else math.max(k, beam))
       val it = entries.iterator
       while (it.hasNext) {
         val e = it.next()
-        if (visit(e)) offer(e, dist, admit, stats, beam, cap)
+        if (visit(e)) offer(e, dist, admit, stats, beam)
       }
       while (cursor < beamSize) {
-        expanded(cursor) = true
-        val u = beamId(cursor)
+        val key = beamKeys(cursor)
+        beamKeys(cursor) = key | 1L
+        val u = RankKey.id(key)
         if (stats != null) stats.nodesExpanded += 1
         val nbrs = neighbors(u)
         var j = 0
         while (j < nbrs.length && nbrs(j) >= 0) {
           val v = nbrs(j)
           if (stats != null) stats.edgesScanned += 1
-          if (!(v < mark.length && mark(v) == epoch) && visit(v)) offer(v, dist, admit, stats, beam, cap)
+          if (!(v < mark.length && mark(v) == epoch) && visit(v)) offer(v, dist, admit, stats, beam)
           j += 1
         }
-        while (cursor < beamSize && expanded(cursor)) cursor += 1
+        while (cursor < beamSize && (beamKeys(cursor) & 1L) != 0) cursor += 1
       }
-      val out = new Array[Candidate](math.min(k, admSize))
+      val keys = if (admCap > 0) admKeys else beamKeys
+      val out = new Array[Candidate](math.min(k, if (admCap > 0) admSize else beamSize))
       var i = 0
-      while (i < out.length) { out(i) = Candidate(admId(i), admDist(i)); i += 1 }
+      while (i < out.length) { out(i) = Candidate(RankKey.id(keys(i)), RankKey.dist(keys(i))); i += 1 }
       out
     }
 
     private def start(beam: Int, cap: Int): Unit = {
       if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
       epoch += 1
-      if (beamId.length < beam) {
-        beamDist = new Array[Float](beam); beamId = new Array[Int](beam)
-        expanded = new Array[Boolean](beam)
-      }
-      if (admId.length < cap) { admDist = new Array[Float](cap); admId = new Array[Int](cap) }
-      beamSize = 0; cursor = 0; admSize = 0
+      if (beamKeys.length < beam) beamKeys = new Array[Long](beam)
+      if (admKeys.length < cap) admKeys = new Array[Long](cap)
+      beamSize = 0; cursor = 0; admSize = 0; admCap = cap
     }
 
-    /** Visits `id` if new: computes its distance once, then inserts it into
-      * the beam and, if admitted, into the admitted list.
+    /** Visits `id` if new: computes its distance once, then inserts its key
+      * into the beam and, if admitted, into the admitted list.
       */
     private def offer(id: Int, dist: Int => Float, admit: Int => Boolean, stats: SearchStats,
-                      beam: Int, cap: Int): Unit = {
+                      beam: Int): Unit = {
       if (id >= mark.length) mark = java.util.Arrays.copyOf(mark, math.max(id + 1, 2 * mark.length))
       if (mark(id) != epoch) {
         mark(id) = epoch
-        val d = dist(id)
+        val key = RankKey(dist(id), id)
         if (stats != null) stats.distComputations += 1
-        val pos = insert(beamDist, beamId, beamSize, beam, d, id)
+        val pos = insert(beamKeys, beamSize, beam, key)
         if (pos >= 0) {
-          System.arraycopy(expanded, pos, expanded, pos + 1, math.min(beamSize, beam - 1) - pos)
-          expanded(pos) = false
           beamSize = math.min(beamSize + 1, beam)
           if (pos < cursor) cursor = pos
         }
-        if (admit(id) && insert(admDist, admId, admSize, cap, d, id) >= 0)
-          admSize = math.min(admSize + 1, cap)
+        if (admCap > 0 && admit(id) && insert(admKeys, admSize, admCap, key) >= 0)
+          admSize = math.min(admSize + 1, admCap)
       }
     }
   }

@@ -106,15 +106,19 @@ final class Hnsw private (
     if (lvl > entryLevel) { entryPoint = u; entryLevel = lvl }
   }
 
-  /** ANN search. `visit`/`admit` plug in the range-filtering strategies. */
+  /** ANN search. `visit`/`admit` plug in the range-filtering strategies.
+    * Rejects a query of the wrong dimension or with a NaN component,
+    * k <= 0 and ef < 1.
+    */
   def search(
       q: Array[Float],
       k: Int,
       ef: Int,
       visit: Int => Boolean = _ => true,
-      admit: Int => Boolean = _ => true,
+      admit: Int => Boolean = BeamSearch.AdmitAll,
       stats: SearchStats = null,
   ): Array[Candidate] = {
+    vs.checkQuery(q, k, ef)
     if (entryPoint < 0) return Array.empty
     var ep = entryPoint
     var l = entryLevel
@@ -139,7 +143,8 @@ final class Hnsw private (
   /** Base-layer-only search from caller-chosen entry points — used by the
     * In-filtering strategy, whose entry must itself be in-range (the greedy
     * descent from the top level would land on an arbitrary, likely
-    * out-of-range node that `visit` would reject).
+    * out-of-range node that `visit` would reject). Rejects bad queries
+    * like [[search]].
     */
   def searchBase(
       q: Array[Float],
@@ -147,9 +152,10 @@ final class Hnsw private (
       k: Int,
       ef: Int,
       visit: Int => Boolean = _ => true,
-      admit: Int => Boolean = _ => true,
+      admit: Int => Boolean = BeamSearch.AdmitAll,
       stats: SearchStats = null,
   ): Array[Candidate] = {
+    vs.checkQuery(q, k, ef)
     val adj = adjacency(0)
     BeamSearch.search(
       q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,

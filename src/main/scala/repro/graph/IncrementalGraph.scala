@@ -137,21 +137,29 @@ final class IncrementalGraph(
   /** Final (live) adjacency of u. */
   def neighbors(u: Int): Array[Int] = nbr.get(u).map(_ => liveNeighbors(u)).getOrElse(Array.empty)
 
-  /** Search the final graph (Vamana-style use). */
+  /** Search the final graph (Vamana-style use). Rejects a query of the
+    * wrong dimension or with a NaN component, k <= 0 and ef < 1.
+    */
   def search(q: Array[Float], entries: Seq[Int], k: Int, ef: Int,
              visit: Int => Boolean = _ => true,
-             admit: Int => Boolean = _ => true,
-             stats: SearchStats = null): Array[Candidate] =
+             admit: Int => Boolean = BeamSearch.AdmitAll,
+             stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, k, ef)
     BeamSearch.search(q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,
       neighbors = (x: Int) => liveNeighbors(x), visit = visit, admit = admit, stats = stats)
+  }
 
-  /** Search the graph as of insertion step t (segment-graph use). */
+  /** Search the graph as of insertion step t (segment-graph use); rejects
+    * bad queries like [[search]].
+    */
   def searchAsOf(q: Array[Float], entries: Seq[Int], k: Int, ef: Int, t: Int,
                  visit: Int => Boolean = _ => true,
-                 admit: Int => Boolean = _ => true,
-                 stats: SearchStats = null): Array[Candidate] =
+                 admit: Int => Boolean = BeamSearch.AdmitAll,
+                 stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, k, ef)
     BeamSearch.search(q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,
       neighbors = (x: Int) => neighborsAsOf(x, t), visit = visit, admit = admit, stats = stats)
+  }
 
   /** Stored edge count (lifespan graphs keep dead edges — that IS the
     * compressed representation SeRF stores).

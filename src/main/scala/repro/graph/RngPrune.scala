@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** The RNG pruning rule (Definition 2.1) and its α-generalization
   * (DiskANN's RobustPrune; α = 1 is exactly RNG pruning).
   *
@@ -16,6 +14,9 @@ object RngPrune {
     * down to at most `m` diversified neighbors. Returns kept candidates in
     * ascending (dist, id) order.
     *
+    * Candidates are ranked as [[RankKey]]s in one primitive sort, and the
+    * kept ones are compacted to the front of that array.
+    *
     * `interDist(a, b)` supplies the distance between two candidates.
     */
   def prune(
@@ -24,21 +25,22 @@ object RngPrune {
       m: Int,
       alpha: Float = 1.0f,
   ): Array[Candidate] = {
-    val sorted = candidates.sorted(BruteForce.candidateOrdering)
-    val kept = mutable.ArrayBuffer.empty[Candidate]
+    val keys = new Array[Long](candidates.length)
     var i = 0
-    while (i < sorted.length && kept.size < m) {
-      val c = sorted(i)
-      var pruned = false
+    while (i < keys.length) { keys(i) = RankKey(candidates(i).dist, candidates(i).id); i += 1 }
+    java.util.Arrays.sort(keys)
+    var kept = 0 // keys[0, kept) are the kept candidates
+    i = 0
+    while (i < keys.length && kept < m) {
+      val key = keys(i)
+      val id = RankKey.id(key)
+      val d = RankKey.dist(key)
       var j = 0
-      while (!pruned && j < kept.size) {
-        if (alpha * interDist(kept(j).id, c.id) < c.dist) pruned = true
-        j += 1
-      }
-      if (!pruned) kept += c
+      while (j < kept && !(alpha * interDist(RankKey.id(keys(j)), id) < d)) j += 1
+      if (j == kept) { keys(kept) = key; kept += 1 }
       i += 1
     }
-    kept.toArray
+    Array.tabulate(kept)(j => Candidate(RankKey.id(keys(j)), RankKey.dist(keys(j))))
   }
 
   /** Exact directed RNG over ids [lo, hi] (inclusive), O(s³) — reference

@@ -61,12 +61,21 @@ final class VecStore(val dim: Int, val n: Int, val data: Array[Float]) extends S
     */
   def checkQuery(q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Unit = {
     require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
+    checkQuery(q, k, beam)
+    require(beam >= k, s"beam $beam is smaller than k = $k")
+  }
+
+  /** The range-free part of [[checkQuery]], which the k-NN searches of the
+    * graph substrates call: rejects a vector of the wrong dimension or
+    * with a NaN component, k <= 0 and beam < 1.
+    */
+  def checkQuery(q: Array[Float], k: Int, beam: Int): Unit = {
     require(q.length == dim, s"query has dimension ${q.length}, the index $dim")
     var i = 0
     while (i < q.length && !q(i).isNaN) i += 1
     require(i == q.length, s"query component $i is NaN")
     require(k > 0, s"k must be positive, got $k")
-    require(beam >= k, s"beam $beam is smaller than k = $k")
+    require(beam >= 1, s"beam must be at least 1, got $beam")
   }
 
   /** Raw bytes held by the vectors (for memory-footprint accounting). */

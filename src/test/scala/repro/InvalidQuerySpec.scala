@@ -3,11 +3,13 @@ package repro
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines._
 import repro.core.{BasicSearch, IRangeGraph, MultiAttr}
-import repro.graph.{Candidate, Hnsw}
+import repro.graph.{Candidate, Hnsw, IncrementalGraph}
 
 /** Every RFANN entry point rejects the same bad queries with an
   * `IllegalArgumentException` before it touches a vector: a wrong
-  * dimension, a NaN component, k <= 0, beam < k, L > R and R >= n.
+  * dimension, a NaN component, k <= 0, beam < k, L > R and R >= n. The
+  * range-free substrate searches (HNSW and the incremental graph) reject a
+  * wrong dimension, a NaN component, k <= 0 and ef < 1.
   */
 class InvalidQuerySpec extends AnyFunSuite {
 
@@ -65,6 +67,37 @@ class InvalidQuerySpec extends AnyFunSuite {
         }
       val good = search(q, l, r, 10, 40)
       assert(good.nonEmpty && good.forall(c => c.id >= l && c.id <= r), name)
+    }
+  }
+  /** (substrate search, (q, k, ef) => result). */
+  private lazy val substrates: Seq[(String, (Array[Float], Int, Int) => Array[Candidate])] = {
+    val inc = IncrementalGraph.build(vs, 0 until n, 8, 30)
+    val serfGraph = IncrementalGraph.build(vs, 0 until n, 8, 30, recordLifespans = true)
+    Seq(
+      ("Hnsw.search", hnsw.search(_, _, _)),
+      ("Hnsw.searchBase", hnsw.searchBase(_, Seq(l), _, _)),
+      ("IncrementalGraph.search", inc.search(_, Seq(0), _, _)),
+      ("IncrementalGraph.searchAsOf", serfGraph.searchAsOf(_, Seq(0), _, _, n)))
+  }
+
+  /** (case, query, k, ef). */
+  private val badKnn: Seq[(String, Array[Float], Int, Int)] = Seq(
+    ("dimension too small", q.take(5), 10, 40),
+    ("dimension too large", q :+ 0f, 10, 40),
+    ("NaN component", q.updated(2, Float.NaN), 10, 40),
+    ("k = 0", q, 0, 40),
+    ("k < 0", q, -1, 40),
+    ("ef = 0", q, 10, 0),
+    ("ef < 0", q, 10, -1))
+
+  test("every substrate search rejects every bad query and answers the good one") {
+    for ((name, search) <- substrates) {
+      for ((label, bq, k, ef) <- badKnn)
+        withClue(s"$name, $label: ") {
+          intercept[IllegalArgumentException](search(bq, k, ef))
+        }
+      assert(search(q, 10, 40).length == 10, name)
+      assert(search(q, 10, 1).length == 10, s"$name, ef < k searches with beam k")
     }
   }
 }

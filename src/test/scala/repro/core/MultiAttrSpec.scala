@@ -120,4 +120,10 @@ class MultiAttrSpec extends AnyFunSuite {
       MultiAttr.PostFilter)
     assert(got.forall(c => attr2Rank(c.id) == n - 1))
   }
+  test("the exp(-t) table equals math.exp, which is 0.0 from t = 746 on") {
+    for (t <- 0 until 2000) {
+      assert(java.lang.Double.doubleToRawLongBits(MultiAttr.expNeg(t)) ==
+        java.lang.Double.doubleToRawLongBits(math.exp(-t.toDouble)), s"t = $t")
+    }
+  }
 }

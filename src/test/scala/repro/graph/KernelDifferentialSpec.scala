@@ -283,4 +283,28 @@ class KernelDifferentialSpec extends AnyFunSuite {
         })
     }
   }
+  test("the default admit equals an explicit admit-all, for k below, at and above beam") {
+    val explicitAll: Int => Boolean = _ => true
+    var expansions = 0L
+    for (fx <- fixtures; qi <- fx.queries.indices; (k, beam) <- Seq((3, 10), (10, 10), (15, 5), (1, 1), (4, 1))) {
+      val q = fx.queries(qi); val (l, r) = fx.ranges(qi); val ir = fx.ir
+      val dist = (i: Int) => fx.vs.dist2(i, q)
+      val scratch = new Array[Int](ir.m + 1)
+      val graphs: Seq[(String, Seq[Int], Int => Array[Int], Int => Boolean)] = Seq(
+        ("edge selection", IRangeGraph.entries(l, r),
+          u => { EdgeSelection.select(ir.graphs, u, l, r, scratch); scratch }, all),
+        ("hnsw base, visit filtered", Seq(l + (r - l) / 2), hnswLevel(fx.hnsw, 0), _ % 3 != 0))
+      for ((name, entries, nbrs, visit) <- graphs) {
+        val (sd, se) = (new SearchStats, new SearchStats)
+        val byDefault = BeamSearch.search(q, dist, entries, beam, k, nbrs, visit, stats = sd)
+        val explicit = BeamSearch.search(q, dist, entries, beam, k, nbrs, visit, explicitAll, se)
+        val what = s"${fx.label} q$qi k$k beam$beam $name"
+        assert(bits(byDefault) == bits(explicit), s"$what: results differ")
+        assert(counters(sd) == counters(se), s"$what: counters differ")
+        assert(byDefault.length == math.min(k, sd.distComputations), what)
+        expansions += sd.nodesExpanded
+      }
+    }
+    assert(expansions > 0, "no search expanded a node")
+  }
 }

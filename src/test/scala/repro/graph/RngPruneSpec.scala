@@ -108,4 +108,22 @@ class RngPruneSpec extends AnyFunSuite {
       })
     }
   }
+  test("prune equals the boxed reference on tied distances (alpha 1 and 1.2)") {
+    // Distances and inter-distances drawn from a few small values, so ties
+    // in the sort and in the pruning test are common; ids are distinct.
+    val rnd = new java.util.Random(40)
+    for (trial <- 0 until 400; alpha <- Seq(1.0f, 1.2f)) {
+      val size = rnd.nextInt(40)
+      val ids = scala.util.Random.javaRandomToRandom(rnd).shuffle((0 until 200).toVector).take(size)
+      val values = Array(-0.5f, -0.0f, 0.0f, 0.5f, 1.0f, 2.0f)
+      val cands = ids.map(i => Candidate(i, values(rnd.nextInt(values.length)))).toArray
+      val salt = rnd.nextInt()
+      val inter = (a: Int, b: Int) =>
+        ((math.min(a, b) * 7919 + math.max(a, b) * 104729 + salt) & 7) * 0.25f
+      val m = 1 + rnd.nextInt(12)
+      def bits(cs: Array[Candidate]) = cs.toSeq.map(c => (c.id, java.lang.Float.floatToRawIntBits(c.dist)))
+      assert(bits(RngPrune.prune(cands, inter, m, alpha)) == bits(BoxedRngPrune.prune(cands, inter, m, alpha)),
+        s"trial $trial, alpha $alpha, m $m")
+    }
+  }
 }
